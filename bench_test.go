@@ -582,10 +582,13 @@ func BenchmarkAblation_BwTreeDeltaChain(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_CLHTRehash isolates the globally locked rehash the
-// paper blames for P-CLHT's Load A deficit (§7.2): inserts into a
-// pre-sized table never rehash; inserts into a tiny table rehash
-// repeatedly.
+// BenchmarkAblation_CLHTRehash isolates the cost of P-CLHT's table
+// doublings, which the paper blames for its Load A deficit (§7.2):
+// inserts into a pre-sized table never rehash; inserts into a tiny
+// table double it repeatedly. A doubling writes each new line back once,
+// after a split-order copy in which old chain i fills new chains i and
+// i+n front to back (see DESIGN.md, "P-CLHT"), so the growing row runs
+// close to the presized one.
 func BenchmarkAblation_CLHTRehash(b *testing.B) {
 	for _, mode := range []string{"presized", "growing"} {
 		b.Run(mode, func(b *testing.B) {

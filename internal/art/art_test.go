@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/crash"
 	"repro/internal/keys"
@@ -631,5 +632,166 @@ func BenchmarkLookupRandInt(b *testing.B) {
 		if _, ok := idx.Lookup(gen.Key(uint64(i) % n)); !ok {
 			b.Fatal("miss")
 		}
+	}
+}
+
+// hexKey renders id as 'k' plus 16 hex digits of its mixed value: the
+// text keys the wire load generator sends.
+func hexKey(id uint64) []byte {
+	return []byte(fmt.Sprintf("k%016x", keys.Mix64(id)))
+}
+
+// within runs op under a deadline so a livelocked operation fails the
+// test instead of hanging it.
+func within(t *testing.T, what string, op func() error) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- op() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s did not return: livelock", what)
+	}
+}
+
+func insertWithin(t *testing.T, idx *Index, k []byte, v uint64) {
+	t.Helper()
+	within(t, fmt.Sprintf("Insert(%q)", k), func() error { return idx.Insert(k, v) })
+}
+
+// TestInsertAfterDeleteChurn inserts ten fresh keys and deletes them,
+// round after round, over a preloaded tree. Deletes nil every child of
+// some inner nodes; a later insert whose key diverges inside such a
+// node's stored prefix must split it from the stored bytes rather than
+// restart forever looking for a leaf below it.
+func TestInsertAfterDeleteChurn(t *testing.T) {
+	idx := newIdx()
+	for id := uint64(0); id < 10; id++ {
+		insertWithin(t, idx, hexKey(id), id)
+	}
+	next := uint64(10)
+	for round := 0; round < 50; round++ {
+		for i := 0; i < 10; i++ {
+			insertWithin(t, idx, hexKey(next+uint64(i)), next)
+		}
+		for i := 0; i < 10; i++ {
+			if ok, err := idx.Delete(hexKey(next + uint64(i))); err != nil || !ok {
+				t.Fatalf("round %d: Delete = %v, %v", round, ok, err)
+			}
+		}
+		next += 10
+	}
+	for id := uint64(0); id < 10; id++ {
+		if v, ok := idx.Lookup(hexKey(id)); !ok || v != id {
+			t.Fatalf("Lookup(%d) = %d, %v", id, v, ok)
+		}
+	}
+	if idx.Len() != 10 {
+		t.Fatalf("Len = %d, want 10", idx.Len())
+	}
+}
+
+// TestInsertUnderEmptyLongPrefix empties a node whose compressed prefix
+// is longer than the seven stored bytes, so no leaf remains to rebuild
+// it, then inserts and deletes keys that route into it: diverging
+// inside the stored bytes, beyond them, and matching the whole prefix.
+func TestInsertUnderEmptyLongPrefix(t *testing.T) {
+	idx := newIdx()
+	long := func(tail string) []byte { return []byte("a/" + "0123456789abcdef" + tail) }
+	mustIns := func(k []byte, v uint64) { insertWithin(t, idx, k, v) }
+	mustIns([]byte("b/other"), 1)
+	mustIns(long("x"), 2)
+	mustIns(long("y"), 3)
+	for _, k := range [][]byte{long("x"), long("y")} {
+		if ok, err := idx.Delete(k); err != nil || !ok {
+			t.Fatalf("Delete(%q) = %v, %v", k, ok, err)
+		}
+	}
+	// A delete that routes into the empty node reports absence.
+	within(t, "Delete under empty node", func() error {
+		if ok, err := idx.Delete(long("z")); err != nil || ok {
+			return fmt.Errorf("= %v, %v; want false, nil", ok, err)
+		}
+		return nil
+	})
+	want := map[string]uint64{"b/other": 1}
+	for i, k := range [][]byte{
+		[]byte("a/0123X"),             // diverges inside the stored bytes
+		long("z"),                     // matches the whole long prefix
+		[]byte("a/0123456789abXYZ"),   // diverges beyond the stored bytes
+		[]byte("a/0123456789abcdefw"), // shares the prefix with long("z")
+	} {
+		mustIns(k, uint64(10+i))
+		want[string(k)] = uint64(10 + i)
+	}
+	for k, v := range want {
+		if got, ok := idx.Lookup([]byte(k)); !ok || got != v {
+			t.Fatalf("Lookup(%q) = %d, %v; want %d", k, got, ok, v)
+		}
+	}
+	if idx.Len() != len(want) {
+		t.Fatalf("Len = %d, want %d", idx.Len(), len(want))
+	}
+	var got []string
+	idx.Scan(nil, 100, func(k []byte, _ uint64) bool {
+		got = append(got, string(k))
+		return true
+	})
+	if len(got) != len(want) || !sort.StringsAreSorted(got) {
+		t.Fatalf("Scan = %q, want %d sorted keys", got, len(want))
+	}
+}
+
+// TestConcurrentChurnLongPrefix has writers insert and delete keys under
+// one long shared prefix in rounds, so inner nodes empty out and get
+// replaced while other writers insert into them. Each writer keeps its
+// last round, which must be exactly what remains.
+func TestConcurrentChurnLongPrefix(t *testing.T) {
+	idx := newIdx()
+	const writers, rounds, per = 4, 40, 8
+	key := func(w, r, i int) []byte {
+		return []byte(fmt.Sprintf("shared/0123456789abcdef/%d/%02d/%d", w, r, i))
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for i := 0; i < per; i++ {
+					if err := idx.Insert(key(w, r, i), uint64(r)); err != nil {
+						t.Errorf("Insert: %v", err)
+						return
+					}
+				}
+				if r == rounds-1 {
+					return
+				}
+				for i := 0; i < per; i++ {
+					if ok, err := idx.Delete(key(w, r, i)); err != nil || !ok {
+						t.Errorf("Delete(%q) = %v, %v", key(w, r, i), ok, err)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if idx.Len() != writers*per {
+		t.Fatalf("Len = %d, want %d", idx.Len(), writers*per)
+	}
+	for w := 0; w < writers; w++ {
+		for i := 0; i < per; i++ {
+			if v, ok := idx.Lookup(key(w, rounds-1, i)); !ok || v != rounds-1 {
+				t.Fatalf("Lookup(%q) = %d, %v", key(w, rounds-1, i), v, ok)
+			}
+		}
+	}
+	n := idx.Scan(nil, 1000, func([]byte, uint64) bool { return true })
+	if n != writers*per {
+		t.Fatalf("Scan visited %d keys, want %d", n, writers*per)
 	}
 }

@@ -98,7 +98,7 @@ func (idx *Index) tryInsert(key []byte, value uint64) (done bool, err error) {
 		if mismatch < 0 && cmpLen > maxStoredPrefix {
 			full := idx.fullPrefix(n, depth)
 			if full == nil {
-				return false, nil
+				return idx.replaceEmpty(parent, pslot, n, key, value)
 			}
 			for i := maxStoredPrefix; i < cmpLen; i++ {
 				if full[i] != key[depth+i] {
@@ -399,13 +399,21 @@ func (idx *Index) splitPrefix(parent *header, pslot byte, n *header, depth, mism
 		return false, nil
 	}
 	// Recheck under the lock.
-	plen, _ := n.prefixSnapshot()
+	plen, pb := n.prefixSnapshot()
 	if plen != int(n.level)-depth {
 		n.lock.Unlock()
 		return false, nil
 	}
-	full := idx.fullPrefix(n, depth)
-	if full == nil || mismatch >= plen || len(key) <= depth+mismatch ||
+	// A prefix that fits the stored bytes needs no leaf; a longer one is
+	// rebuilt from a leaf, and a subtree with none is replaced outright.
+	var full []byte
+	if plen <= maxStoredPrefix {
+		full = pb[:plen]
+	} else if full = idx.fullPrefix(n, depth); full == nil {
+		n.lock.Unlock()
+		return idx.replaceEmpty(parent, pslot, n, key, value)
+	}
+	if mismatch >= plen || len(key) <= depth+mismatch ||
 		full[mismatch] == key[depth+mismatch] ||
 		!bytes.Equal(full[:mismatch], key[depth:depth+mismatch]) {
 		n.lock.Unlock()
@@ -539,7 +547,7 @@ func (idx *Index) tryDelete(key []byte) (deleted, done bool) {
 		if plen > maxStoredPrefix {
 			full := idx.fullPrefix(n, depth)
 			if full == nil {
-				return false, false
+				return false, true // no leaf below n: key is absent
 			}
 			if len(key)-depth < plen || !bytes.Equal(full[maxStoredPrefix:], key[depth+maxStoredPrefix:depth+plen]) {
 				return false, true
@@ -696,21 +704,84 @@ func (idx *Index) setChildPersist(parent *header, pslot byte, nn *header) {
 }
 
 // minLeaf returns some leaf below n (the first found in slot order), used
-// to reconstruct compressed prefixes. Returns nil if a racing delete
-// emptied the subtree.
+// to reconstruct compressed prefixes. Deletes nil child slots without
+// removing inner nodes, so it searches past emptied subtrees; it
+// returns nil only when no leaf remains below n.
 func (idx *Index) minLeaf(n *header) *leaf {
-	for n != nil {
-		if n.kind == kLeaf {
-			return n.leaf()
+	if n == nil {
+		return nil
+	}
+	if n.kind == kLeaf {
+		return n.leaf()
+	}
+	var buf [256]entry
+	for _, e := range n.entries(buf[:0:256]) {
+		if lf := idx.minLeaf(e.c); lf != nil {
+			return lf
 		}
-		var buf [256]entry
-		es := n.entries(buf[:0:256])
-		if len(es) == 0 {
-			return nil
-		}
-		n = es[0].c
 	}
 	return nil
+}
+
+// replaceEmpty inserts key where n stands when no leaf remains below n.
+// Deletes leave such nodes behind, and once n's prefix is longer than
+// the stored bytes nothing can rebuild it. n routes no key, so the new
+// leaf takes its slot in the parent with one pointer swap (Condition
+// #1). Every inner node of the dropped subtree is locked and marked
+// obsolete first, so an insert racing into any of them restarts instead
+// of landing in an unreachable node. Descendants are try-locked because
+// writers lock child before parent; any failure restarts the insert.
+func (idx *Index) replaceEmpty(parent *header, pslot byte, n *header, key []byte, value uint64) (bool, error) {
+	var inner []*header
+	var collect func(h *header)
+	collect = func(h *header) {
+		if h.kind == kLeaf {
+			return
+		}
+		inner = append(inner, h)
+		var buf [256]entry
+		for _, e := range h.entries(buf[:0:256]) {
+			collect(e.c)
+		}
+	}
+	collect(n)
+	n.lock.Lock()
+	locked := 1
+	defer func() {
+		for _, h := range inner[:locked] {
+			h.lock.Unlock()
+		}
+	}()
+	for ; locked < len(inner); locked++ {
+		if !inner[locked].lock.TryLock() {
+			return false, nil
+		}
+	}
+	for _, h := range inner {
+		if h.obsolete.Load() {
+			return false, nil
+		}
+	}
+	if idx.minLeaf(n) != nil {
+		return false, nil // a racing insert refilled the subtree
+	}
+	unlock, ok := idx.lockSlot(parent, pslot, n)
+	if !ok {
+		return false, nil
+	}
+	defer unlock()
+	nl := idx.newLeaf(key, value)
+	// RECIPE: persist the new leaf before publishing it.
+	idx.persistAll(&nl.header)
+	idx.heap.Fence()
+	idx.heap.CrashPoint("art.replace.init")
+	idx.setChildPersist(parent, pslot, &nl.header)
+	idx.heap.CrashPoint("art.replace.commit")
+	for _, h := range inner {
+		h.obsolete.Store(true)
+	}
+	idx.count.Add(1)
+	return true, nil
 }
 
 // fullPrefix reconstructs n's complete compressed prefix (bytes

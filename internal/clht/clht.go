@@ -7,7 +7,8 @@
 // atomic snapshots of key/value pairs; writers lock the bucket and commit
 // each insert or delete with a single 8-byte atomic store (the key write),
 // ordering the value store before it. Rehashing copies buckets into a new
-// table and commits it by atomically swapping the table pointer.
+// table and commits it by atomically swapping the table pointer; writers
+// that meet a doubling in progress help copy it (see rehash).
 //
 // CLHT therefore satisfies RECIPE Condition #1 — every update becomes
 // visible through one hardware-atomic store — and the conversion consists
@@ -18,6 +19,7 @@ package clht
 
 import (
 	"errors"
+	"runtime"
 	"sync/atomic"
 
 	"repro/internal/crash"
@@ -41,17 +43,47 @@ const (
 	offNext     = 56
 )
 
+// chunkBuckets is the number of old buckets one copier claims at a time
+// while a doubling is in progress.
+const chunkBuckets = 128
+
 // ErrZeroKey is returned for key 0, which CLHT reserves as the empty-slot
 // marker.
 var ErrZeroKey = errors.New("clht: key 0 is reserved")
 
+// bucket is one cache line: the Go struct is exactly bucketBytes, so a
+// table's bucket array maps line for line onto its allocation. A bucket
+// does not store its own PM location; chain walks carry it (see loc).
 type bucket struct {
-	pm   pmem.Obj // allocation holding this bucket's persistent image
-	off  uintptr  // byte offset of the bucket within pm
 	lock pmlock.Mutex
 	keys [EntriesPerBucket]atomic.Uint64
 	vals [EntriesPerBucket]atomic.Uint64
-	next atomic.Pointer[bucket]
+	next atomic.Pointer[overflow]
+}
+
+// overflow is a chained bucket with its own one-line allocation.
+type overflow struct {
+	bucket
+	pm pmem.Obj
+}
+
+// loc is a bucket together with its PM location: table buckets sit at
+// index × bucketBytes in the table's allocation, overflow buckets at
+// offset 0 of their own.
+type loc struct {
+	b   *bucket
+	pm  pmem.Obj
+	off uintptr
+}
+
+// next moves to the following bucket of the chain; b is nil past the
+// end.
+func (l *loc) next() {
+	if ov := l.b.next.Load(); ov != nil {
+		*l = loc{&ov.bucket, ov.pm, 0}
+	} else {
+		l.b = nil
+	}
 }
 
 type table struct {
@@ -61,9 +93,13 @@ type table struct {
 	seed    uint64
 }
 
-func (t *table) bucketFor(key uint64) *bucket {
-	h := mix(key ^ t.seed)
-	return &t.buckets[h&t.mask]
+// slot maps key to its chain. Doublings keep the seed, so chain i of an
+// n-bucket table splits into chains i and i+n of its successor.
+func (t *table) slot(key uint64) uint64 { return mix(key^t.seed) & t.mask }
+
+// head returns the first bucket of chain i.
+func (t *table) head(i uint64) loc {
+	return loc{&t.buckets[i], t.pm, uintptr(i) * bucketBytes}
 }
 
 func mix(x uint64) uint64 {
@@ -74,6 +110,15 @@ func mix(x uint64) uint64 {
 	return x ^ (x >> 33)
 }
 
+// growth is a doubling in progress. The resizer publishes it; writers
+// that find their head bucket locked by it claim chunks too.
+type growth struct {
+	old, nt *table
+	chunks  int64
+	claimed atomic.Int64 // chunks handed out
+	done    atomic.Int64 // chunks copied, persisted and fenced
+}
+
 // Index is a persistent cache-line hash table. Keys are non-zero uint64s
 // and values are uint64s, matching the paper's evaluation of unordered
 // indexes with 8-byte integer keys. Index is safe for concurrent use.
@@ -81,6 +126,7 @@ type Index struct {
 	heap  *pmem.Heap
 	root  pmem.Obj // persistent root line holding the current table pointer
 	tab   atomic.Pointer[table]
+	grow  atomic.Pointer[growth] // the doubling of tab in progress, if any
 	count atomic.Int64
 
 	resize pmlock.Mutex
@@ -115,10 +161,13 @@ func NewWithBuckets(heap *pmem.Heap, n int) *Index {
 	// RECIPE: persist the freshly initialised table and the root pointer
 	// before the index is usable (the durability bug the paper found in
 	// FAST & FAIR and CCEH was an unpersisted initial allocation).
+	heap.Persist(t.pm, 0, uintptr(p)*bucketBytes)
 	heap.PersistFence(idx.root, 0, 64)
 	return idx
 }
 
+// newTable allocates an empty table. Its lines start dirty; the caller
+// persists them once they hold their final content.
 func (idx *Index) newTable(nbuckets int, seed uint64) *table {
 	t := &table{
 		buckets: make([]bucket, nbuckets),
@@ -126,15 +175,7 @@ func (idx *Index) newTable(nbuckets int, seed uint64) *table {
 		seed:    seed,
 	}
 	t.pm = idx.heap.Alloc(uintptr(nbuckets) * bucketBytes)
-	for i := range t.buckets {
-		t.buckets[i].pm = t.pm
-		t.buckets[i].off = uintptr(i) * bucketBytes
-	}
 	idx.heap.ShadowSlice(t.pm, t.buckets, bucketBytes)
-	// Persist the zeroed array; relaxed ordering is fine because the table
-	// only becomes reachable via a later atomic pointer swap (Condition #1
-	// allows reordering of stores preceding the commit store).
-	idx.heap.Persist(t.pm, 0, uintptr(nbuckets)*bucketBytes)
 	return t
 }
 
@@ -146,8 +187,9 @@ func (idx *Index) Lookup(key uint64) (uint64, bool) {
 		return 0, false
 	}
 	t := idx.tab.Load()
-	for b := t.bucketFor(key); b != nil; b = b.next.Load() {
-		idx.heap.Load(b.pm, b.off, bucketBytes)
+	for l := t.head(t.slot(key)); l.b != nil; l.next() {
+		idx.heap.Load(l.pm, l.off, bucketBytes)
+		b := l.b
 		for i := 0; i < EntriesPerBucket; i++ {
 			if b.keys[i].Load() == key {
 				v := b.vals[i].Load()
@@ -160,6 +202,41 @@ func (idx *Index) Lookup(key uint64) (uint64, bool) {
 	return 0, false
 }
 
+// lockHead locks the head bucket of key's chain in the current table.
+// Buckets a doubling has copied stay locked for good, so rather than
+// spin on one, a writer copies unclaimed chunks of that doubling and
+// retries on the new table once it is published.
+func (idx *Index) lockHead(key uint64) (*table, loc) {
+	for i := 0; ; i++ {
+		t := idx.tab.Load()
+		l := t.head(t.slot(key))
+		if l.b.lock.TryLock() {
+			// A resize may have swapped the table while we waited for
+			// the bucket lock; retry against the new table.
+			if idx.tab.Load() == t {
+				return t, l
+			}
+			l.b.lock.Unlock()
+			continue
+		}
+		if idx.tab.Load() != t {
+			continue
+		}
+		if g := idx.grow.Load(); g != nil && g.old == t {
+			g.copy(idx)
+		}
+		yield(i)
+	}
+}
+
+// yield gives up the processor on every 64th spin, as pmlock's Lock
+// does.
+func yield(spins int) {
+	if spins%64 == 63 {
+		runtime.Gosched()
+	}
+}
+
 // Insert stores value under key, overwriting any existing value. It
 // returns ErrZeroKey for key 0 and crash.ErrCrashed when interrupted by a
 // simulated crash.
@@ -169,17 +246,9 @@ func (idx *Index) Insert(key, value uint64) (err error) {
 	}
 	defer recoverCrash(&err)
 	for {
-		t := idx.tab.Load()
-		b := t.bucketFor(key)
-		b.lock.Lock()
-		// A resize may have swapped the table while we waited for the
-		// bucket lock; retry against the new table.
-		if idx.tab.Load() != t {
-			b.lock.Unlock()
-			continue
-		}
-		ok := idx.insertLocked(b, key, value)
-		b.lock.Unlock()
+		t, head := idx.lockHead(key)
+		ok := idx.insertLocked(head, key, value)
+		head.b.lock.Unlock()
 		if ok {
 			return nil
 		}
@@ -190,27 +259,29 @@ func (idx *Index) Insert(key, value uint64) (err error) {
 
 // insertLocked performs the insert under the bucket lock. It returns false
 // when the chain is over the overflow threshold and a resize is required.
-func (idx *Index) insertLocked(head *bucket, key, value uint64) bool {
-	var free *bucket
+func (idx *Index) insertLocked(head loc, key, value uint64) bool {
+	var free, last loc
 	freeIdx := -1
 	chain := 0
-	for b := head; b != nil; b = b.next.Load() {
-		idx.heap.Load(b.pm, b.off, bucketBytes)
+	for l := head; l.b != nil; l.next() {
+		idx.heap.Load(l.pm, l.off, bucketBytes)
+		b := l.b
 		for i := 0; i < EntriesPerBucket; i++ {
 			k := b.keys[i].Load()
 			if k == key {
 				// Update: a single atomic 8-byte store is the commit.
 				b.vals[i].Store(value)
-				idx.heap.Dirty(b.pm, b.off+offVals+uintptr(i)*8, 8)
+				idx.heap.Dirty(l.pm, l.off+offVals+uintptr(i)*8, 8)
 				// RECIPE: flush + fence after the committing store.
-				idx.heap.PersistFence(b.pm, b.off+offVals+uintptr(i)*8, 8)
+				idx.heap.PersistFence(l.pm, l.off+offVals+uintptr(i)*8, 8)
 				idx.heap.CrashPoint("clht.update.commit")
 				return true
 			}
 			if k == 0 && freeIdx < 0 {
-				free, freeIdx = b, i
+				free, freeIdx = l, i
 			}
 		}
+		last = l
 		chain++
 	}
 	if freeIdx >= 0 {
@@ -219,13 +290,13 @@ func (idx *Index) insertLocked(head *bucket, key, value uint64) bool {
 		// after the commit persists the pair; an eviction between the
 		// stores persists only the value, which is invisible (key still
 		// 0) and therefore harmless.
-		free.vals[freeIdx].Store(value)
+		free.b.vals[freeIdx].Store(value)
 		idx.heap.Dirty(free.pm, free.off+offVals+uintptr(freeIdx)*8, 8)
 		// RECIPE: fence so the value store is ordered before the key
 		// store on its way to PM.
 		idx.heap.Fence()
 		idx.heap.CrashPoint("clht.insert.val")
-		free.keys[freeIdx].Store(key)
+		free.b.keys[freeIdx].Store(key)
 		idx.heap.Dirty(free.pm, free.off+offKeys+uintptr(freeIdx)*8, 8)
 		// RECIPE: flush + fence after the committing key store.
 		idx.heap.PersistFence(free.pm, free.off, bucketBytes)
@@ -238,7 +309,7 @@ func (idx *Index) insertLocked(head *bucket, key, value uint64) bool {
 	}
 	// Append an overflow bucket: initialise it off-path, persist it, then
 	// commit by atomically linking it.
-	nb := &bucket{pm: idx.heap.Alloc(bucketBytes)}
+	nb := &overflow{pm: idx.heap.Alloc(bucketBytes)}
 	idx.heap.Shadow(nb.pm, nb)
 	nb.keys[0].Store(key)
 	nb.vals[0].Store(value)
@@ -246,11 +317,7 @@ func (idx *Index) insertLocked(head *bucket, key, value uint64) bool {
 	idx.heap.Persist(nb.pm, 0, bucketBytes)
 	idx.heap.Fence()
 	idx.heap.CrashPoint("clht.insert.overflow.init")
-	last := head
-	for l := last.next.Load(); l != nil; l = last.next.Load() {
-		last = l
-	}
-	last.next.Store(nb)
+	last.b.next.Store(nb)
 	idx.heap.Dirty(last.pm, last.off+offNext, 8)
 	// RECIPE: flush + fence after the committing link store.
 	idx.heap.PersistFence(last.pm, last.off+offNext, 8)
@@ -265,95 +332,139 @@ func (idx *Index) Delete(key uint64) (deleted bool, err error) {
 		return false, ErrZeroKey
 	}
 	defer recoverCrash(&err)
-	for {
-		t := idx.tab.Load()
-		head := t.bucketFor(key)
-		head.lock.Lock()
-		if idx.tab.Load() != t {
-			head.lock.Unlock()
-			continue
-		}
-		for b := head; b != nil; b = b.next.Load() {
-			for i := 0; i < EntriesPerBucket; i++ {
-				if b.keys[i].Load() == key {
-					// Deletion commits with a single atomic store of 0 to
-					// the key (§6.2).
-					b.keys[i].Store(0)
-					idx.heap.Dirty(b.pm, b.off+offKeys+uintptr(i)*8, 8)
-					// RECIPE: flush + fence after the committing store.
-					idx.heap.PersistFence(b.pm, b.off+offKeys+uintptr(i)*8, 8)
-					idx.heap.CrashPoint("clht.delete.commit")
-					idx.count.Add(-1)
-					head.lock.Unlock()
-					return true, nil
-				}
+	_, head := idx.lockHead(key)
+	for l := head; l.b != nil; l.next() {
+		for i := 0; i < EntriesPerBucket; i++ {
+			if l.b.keys[i].Load() == key {
+				// Deletion commits with a single atomic store of 0 to the
+				// key (§6.2).
+				l.b.keys[i].Store(0)
+				idx.heap.Dirty(l.pm, l.off+offKeys+uintptr(i)*8, 8)
+				// RECIPE: flush + fence after the committing store.
+				idx.heap.PersistFence(l.pm, l.off+offKeys+uintptr(i)*8, 8)
+				idx.heap.CrashPoint("clht.delete.commit")
+				idx.count.Add(-1)
+				head.b.lock.Unlock()
+				return true, nil
 			}
 		}
-		head.lock.Unlock()
-		return false, nil
 	}
+	head.b.lock.Unlock()
+	return false, nil
 }
 
-// rehash doubles the table. It locks every bucket of the old table (so no
-// writer can race the copy), builds the new table off-path, persists it,
-// and commits with a single atomic swap of the table pointer — the SMO
-// variant of Condition #1 (§6.2: re-hashing uses copy-on-write and an
-// atomic swap). The paper attributes P-CLHT's Load-A deficit vs CCEH to
-// exactly this globally locked scheme (§7.2).
+// rehash doubles the table: it builds the new table off-path, persists
+// it, and commits with a single atomic swap of the table pointer — the
+// SMO variant of Condition #1 (§6.2: re-hashing uses copy-on-write and
+// an atomic swap). The paper attributes P-CLHT's Load-A deficit vs CCEH
+// to this globally locked scheme (§7.2); here the old buckets are locked
+// chunk by chunk as they are copied, and writers that hit a copied
+// bucket help copy the rest instead of waiting. A writer that needs a
+// doubling already under way helps it too.
 func (idx *Index) rehash(old *table) {
-	idx.resize.Lock()
+	for i := 0; !idx.resize.TryLock(); i++ {
+		if idx.tab.Load() != old {
+			return // someone else already resized
+		}
+		if g := idx.grow.Load(); g != nil && g.old == old {
+			g.copy(idx)
+		}
+		yield(i)
+	}
 	defer idx.resize.Unlock()
 	if idx.tab.Load() != old {
 		return // someone else already resized
 	}
-	for i := range old.buckets {
-		old.buckets[i].lock.Lock()
+	n := len(old.buckets)
+	g := &growth{old: old, nt: idx.newTable(2*n, old.seed), chunks: int64((n + chunkBuckets - 1) / chunkBuckets)}
+	idx.grow.Store(g)
+	g.copy(idx)
+	// Helpers may still be copying the last chunks they claimed.
+	for i := 0; g.done.Load() < g.chunks; i++ {
+		yield(i)
 	}
-	nt := idx.newTable(len(old.buckets)*2, old.seed+0x9E3779B9)
-	for i := range old.buckets {
-		for b := &old.buckets[i]; b != nil; b = b.next.Load() {
+	// RECIPE: every copier persisted and fenced its chunk, so the whole
+	// table is durable; commit with the atomic table-pointer swap, then
+	// persist the root line.
+	idx.heap.CrashPoint("clht.rehash.built")
+	idx.tab.Store(g.nt)
+	idx.heap.Dirty(idx.root, 0, 8)
+	idx.heap.PersistFence(idx.root, 0, 8)
+	idx.heap.CrashPoint("clht.rehash.swap")
+	// The old buckets stay locked: no writer reaches the old table any
+	// more without noticing the swap.
+	idx.grow.Store(nil)
+}
+
+// copy claims and copies chunks until none is left unclaimed.
+func (g *growth) copy(idx *Index) {
+	for g.claimed.Load() < g.chunks {
+		c := g.claimed.Add(1) - 1
+		if c >= g.chunks {
+			return
+		}
+		idx.copyChunk(g, c)
+		g.done.Add(1)
+	}
+}
+
+// copyChunk copies old chains [lo, hi) of chunk c into the new table.
+// Each old head is locked before its chain is read and is never
+// unlocked, so no writer can change a copied chain. Old chain i
+// lands only in new chains i and i+n, which the copier fills front to
+// back as two sequential streams. The copier then writes back the
+// destination lines and new overflow buckets and fences before counting
+// the chunk done: a fence orders only its own thread's write-backs.
+func (idx *Index) copyChunk(g *growth, c int64) {
+	n := uint64(len(g.old.buckets))
+	lo := uint64(c) * chunkBuckets
+	hi := min(lo+chunkBuckets, n)
+	var ovf []*overflow
+	for i := lo; i < hi; i++ {
+		g.old.buckets[i].lock.Lock()
+		dst := [2]filler{{b: &g.nt.buckets[i]}, {b: &g.nt.buckets[i+n]}}
+		for l := g.old.head(i); l.b != nil; l.next() {
 			for e := 0; e < EntriesPerBucket; e++ {
-				if k := b.keys[e].Load(); k != 0 {
-					idx.copyInto(nt, k, b.vals[e].Load())
+				if k := l.b.keys[e].Load(); k != 0 {
+					f := &dst[0]
+					if mix(k^g.old.seed)&n != 0 {
+						f = &dst[1]
+					}
+					ovf = idx.put(f, k, l.b.vals[e].Load(), ovf)
 				}
 			}
 		}
 	}
-	// RECIPE: persist the fully built table, fence, then commit with the
-	// atomic table-pointer swap, then persist the root line.
-	idx.heap.Persist(nt.pm, 0, uintptr(len(nt.buckets))*bucketBytes)
-	idx.heap.Fence()
-	idx.heap.CrashPoint("clht.rehash.built")
-	idx.tab.Store(nt)
-	idx.heap.Dirty(idx.root, 0, 8)
-	idx.heap.PersistFence(idx.root, 0, 8)
-	idx.heap.CrashPoint("clht.rehash.swap")
-	for i := range old.buckets {
-		old.buckets[i].lock.Unlock()
+	// RECIPE: persist the chunk's destination lines and overflow
+	// buckets, then fence this copier's write-backs.
+	idx.heap.Persist(g.nt.pm, uintptr(lo)*bucketBytes, uintptr(hi-lo)*bucketBytes)
+	idx.heap.Persist(g.nt.pm, uintptr(lo+n)*bucketBytes, uintptr(hi-lo)*bucketBytes)
+	for _, ov := range ovf {
+		idx.heap.Persist(ov.pm, 0, bucketBytes)
 	}
+	idx.heap.Fence()
 }
 
-// copyInto inserts into a private (not yet published) table without
-// locking or per-store persistence.
-func (idx *Index) copyInto(t *table, key, value uint64) {
-	b := t.bucketFor(key)
-	for {
-		for i := 0; i < EntriesPerBucket; i++ {
-			if b.keys[i].Load() == 0 {
-				b.keys[i].Store(key)
-				b.vals[i].Store(value)
-				return
-			}
-		}
-		nb := b.next.Load()
-		if nb == nil {
-			nb = &bucket{pm: idx.heap.Alloc(bucketBytes)}
-			idx.heap.Shadow(nb.pm, nb)
-			idx.heap.Persist(nb.pm, 0, bucketBytes)
-			b.next.Store(nb)
-		}
-		b = nb
+// filler is the append position of a new, not yet published chain.
+type filler struct {
+	b    *bucket
+	used int
+}
+
+// put appends a pair to f's chain, chaining an overflow bucket when the
+// current one is full, and returns ovf with any new bucket appended.
+func (idx *Index) put(f *filler, key, value uint64, ovf []*overflow) []*overflow {
+	if f.used == EntriesPerBucket {
+		ov := &overflow{pm: idx.heap.Alloc(bucketBytes)}
+		idx.heap.Shadow(ov.pm, ov)
+		f.b.next.Store(ov)
+		f.b, f.used = &ov.bucket, 0
+		ovf = append(ovf, ov)
 	}
+	f.b.keys[f.used].Store(key)
+	f.b.vals[f.used].Store(value)
+	f.used++
+	return ovf
 }
 
 // Len returns the number of live keys.
@@ -368,15 +479,15 @@ func (idx *Index) Len() int { return int(idx.count.Load()) }
 func (idx *Index) Range(fn func(key, value uint64) bool) {
 	t := idx.tab.Load()
 	for i := range t.buckets {
-		for b := &t.buckets[i]; b != nil; b = b.next.Load() {
-			idx.heap.Load(b.pm, b.off, bucketBytes)
+		for l := t.head(uint64(i)); l.b != nil; l.next() {
+			idx.heap.Load(l.pm, l.off, bucketBytes)
 			for e := 0; e < EntriesPerBucket; e++ {
-				k := b.keys[e].Load()
+				k := l.b.keys[e].Load()
 				if k == 0 {
 					continue
 				}
-				v := b.vals[e].Load()
-				if b.keys[e].Load() != k {
+				v := l.b.vals[e].Load()
+				if l.b.keys[e].Load() != k {
 					continue
 				}
 				if !fn(k, v) {
@@ -398,10 +509,11 @@ func (idx *Index) Buckets() int { return len(idx.tab.Load().buckets) }
 // fully committed pair.
 func (idx *Index) Recover() {
 	idx.resize.Reset()
+	idx.grow.Store(nil)
 	t := idx.tab.Load()
 	for i := range t.buckets {
-		for b := &t.buckets[i]; b != nil; b = b.next.Load() {
-			b.lock.Reset()
+		for l := t.head(uint64(i)); l.b != nil; l.next() {
+			l.b.lock.Reset()
 		}
 	}
 }

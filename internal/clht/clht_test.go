@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/crash"
 	"repro/internal/pmem"
@@ -331,6 +332,151 @@ func TestInsertFlushCount(t *testing.T) {
 	}
 	if d.Fence != 2 {
 		t.Fatalf("common-case insert issued %d fences, want 2", d.Fence)
+	}
+}
+
+// TestBucketIsOneLine: CLHT's premise is one cache line per bucket, so
+// the Go bucket must match the simulated 64-byte layout.
+func TestBucketIsOneLine(t *testing.T) {
+	if got := unsafe.Sizeof(bucket{}); got != bucketBytes {
+		t.Fatalf("sizeof(bucket) = %d, want %d", got, bucketBytes)
+	}
+}
+
+// TestRehashFlushCount: a single-writer doubling from n to 2n writes
+// back each new table line once, each new overflow bucket once, and
+// the root line once.
+func TestRehashFlushCount(t *testing.T) {
+	heap := pmem.NewFast()
+	const n = 4 * chunkBuckets
+	idx := NewWithBuckets(heap, n)
+	// Two keys per old bucket: no old chain reaches the growth limit,
+	// but some new chains still overflow.
+	const keys = 2 * n
+	for k := uint64(1); k <= keys; k++ {
+		mustInsert(t, idx, k, k)
+	}
+	if idx.Buckets() != n {
+		t.Fatalf("table grew during the load: %d buckets", idx.Buckets())
+	}
+	before := heap.Stats()
+	idx.rehash(idx.tab.Load())
+	d := heap.Stats().Sub(before)
+	if idx.Buckets() != 2*n {
+		t.Fatalf("Buckets = %d after rehash, want %d", idx.Buckets(), 2*n)
+	}
+	overflow := d.Allocs - 1 // every allocation but the table itself
+	if overflow == 0 {
+		t.Fatal("no new chain overflowed; the test does not cover overflow write-backs")
+	}
+	if want := 2*n + overflow + 1; d.Clwb != want {
+		t.Fatalf("doubling issued %d clwb, want %d (2n=%d table lines + %d overflow + 1 root)",
+			d.Clwb, want, 2*n, overflow)
+	}
+	for k := uint64(1); k <= keys; k++ {
+		if v, ok := idx.Lookup(k); !ok || v != k {
+			t.Fatalf("post-rehash Lookup(%d) = %d,%v", k, v, ok)
+		}
+	}
+}
+
+// TestConcurrentResizeExact runs inserters, deleters and readers while
+// the table doubles several times past 16 copy chunks, so writers that
+// hit copied buckets help copy, then checks the exact final contents.
+func TestConcurrentResizeExact(t *testing.T) {
+	idx := NewWithBuckets(pmem.NewFast(), 2)
+	const (
+		preload   = 4000
+		inserters = 3
+		per       = 20000
+	)
+	// Preloaded keys 1..preload: deleters remove the even ones, readers
+	// watch the odd ones, which must stay visible with their value.
+	for k := uint64(1); k <= preload; k++ {
+		mustInsert(t, idx, k, k)
+	}
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for g := 0; g < inserters; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			base := uint64(preload + g*per + 1)
+			for i := uint64(0); i < per; i++ {
+				k := base + i
+				if err := idx.Insert(k, k); err != nil {
+					t.Errorf("insert %d: %v", k, err)
+					return
+				}
+				if i%5 == 0 { // overwrite an earlier key of this writer
+					if err := idx.Insert(base+i/2, base+i/2+1); err != nil {
+						t.Errorf("update: %v", err)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for k := uint64(2); k <= preload; k += 2 {
+			if ok, err := idx.Delete(k); err != nil || !ok {
+				t.Errorf("Delete(%d) = %v, %v", k, ok, err)
+				return
+			}
+		}
+	}()
+	var readers sync.WaitGroup
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		for i := uint64(0); ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			k := 2*(i%(preload/2)) + 1
+			if v, ok := idx.Lookup(k); !ok || v != k {
+				t.Errorf("reader: Lookup(%d) = %d,%v", k, v, ok)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	readers.Wait()
+
+	want := make(map[uint64]uint64)
+	for k := uint64(1); k <= preload; k += 2 {
+		want[k] = k
+	}
+	for g := 0; g < inserters; g++ {
+		base := uint64(preload + g*per + 1)
+		for i := uint64(0); i < per; i++ {
+			want[base+i] = base + i
+		}
+		for i := uint64(0); i < per; i += 5 {
+			want[base+i/2] = base + i/2 + 1
+		}
+	}
+	if idx.Buckets() < 4*16*chunkBuckets {
+		t.Fatalf("table reached only %d buckets; want several doublings past %d", idx.Buckets(), 16*chunkBuckets)
+	}
+	if idx.Len() != len(want) {
+		t.Fatalf("Len = %d, want %d", idx.Len(), len(want))
+	}
+	seen := 0
+	idx.Range(func(k, v uint64) bool {
+		if w, ok := want[k]; !ok || v != w {
+			t.Fatalf("Range: %d = %d; want %d (present %v)", k, v, w, ok)
+		}
+		seen++
+		return true
+	})
+	if seen != len(want) {
+		t.Fatalf("Range saw %d pairs, want %d", seen, len(want))
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/clht"
 	"repro/internal/core"
 	"repro/internal/crash"
 	"repro/internal/fastfair"
@@ -183,5 +184,46 @@ func TestLossyMultiCycle(t *testing.T) {
 	}
 	if v, ok := idx.Lookup(gen.Key(999_999)); !ok || v != 999_999 {
 		t.Fatalf("post-cycle readback: ok=%v v=%d", ok, v)
+	}
+}
+
+// smallCLHT adapts a P-CLHT built with two initial buckets to
+// HashIndex, so a short campaign load crosses table doublings and
+// overflow chains.
+type smallCLHT struct{ *clht.Index }
+
+func (s smallCLHT) Update(k, v uint64) error { return s.Insert(k, v) }
+func (s smallCLHT) Recover() error           { s.Index.Recover(); return nil }
+
+// TestLossyCLHTResize pins P-CLHT's resize crash behaviour. In the
+// 60-insert load of TestLossyMatrix the default 768-bucket table reaches
+// only two sites; two initial buckets reach the rehash and overflow
+// sites too. Every policy must discover the same six sites, fire all of
+// them, and see each crash end CLEAN or PARTIAL exactly as listed.
+func TestLossyCLHTResize(t *testing.T) {
+	const loadN, postN, seed = 60, 6, 42
+	want := map[string]LossyOutcome{
+		"clht.insert.commit":        OutcomeClean,
+		"clht.insert.overflow.init": OutcomePartial,
+		"clht.insert.overflow.link": OutcomeClean,
+		"clht.insert.val":           OutcomePartial,
+		"clht.rehash.built":         OutcomePartial,
+		"clht.rehash.swap":          OutcomePartial,
+	}
+	for _, policy := range pmem.Policies {
+		rep := LossyCampaignHash("P-CLHT/2", func(h *pmem.Heap) core.HashIndex {
+			return smallCLHT{clht.NewWithBuckets(h, 2)}
+		}, policy, seed, loadN, postN, 0)
+		checkLossy(t, rep)
+		got := make(map[string]LossyOutcome, len(rep.Sites))
+		for _, s := range rep.Sites {
+			if !s.Fired {
+				t.Errorf("%v: site %s did not fire", policy, s.Site)
+			}
+			got[s.Site] = s.Outcome
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%v: site outcomes = %v, want %v", policy, got, want)
+		}
 	}
 }

@@ -282,19 +282,25 @@ func (m *Ordered) migrate(t *routeTable, mg *migration, batchSize int) (err erro
 // exclusively across the read + apply, so concurrent double-applied
 // writes cannot be overwritten with stale reads; to bound the stall it
 // advances the donor cursor at most batchSize entries per call even
-// when few of them are covered.
+// when few of them are covered. The cursor buffers entries before the
+// lock is taken, so each covered key's value is re-read from the donor
+// under the lock: a buffered value may predate a double-applied write
+// the recipient already holds.
 func (m *Ordered) copyBatch(wt *routeTable, mg *migration, cur *shardCursor, batchSize int) (done bool, err error) {
 	mg.mu.Lock()
 	defer mg.mu.Unlock()
+	donor := m.shards[mg.donor].idx
 	var ops []group.ByteOp
 	for scanned := 0; cur.valid() && scanned < batchSize; scanned++ {
-		k, v := cur.head()
+		k, _ := cur.head()
 		p := m.mapper.Point(k)
 		if mg.ranged && p > mg.hi {
 			return true, m.commitCopy(mg, ops)
 		}
 		if mg.covers(p, wt) {
-			ops = append(ops, group.ByteOp{Key: append([]byte(nil), k...), Value: v})
+			if v, ok := donor.Lookup(k); ok {
+				ops = append(ops, group.ByteOp{Key: append([]byte(nil), k...), Value: v})
+			}
 		}
 		cur.advance()
 	}
